@@ -4,7 +4,7 @@
 //! The paper stops at 50-node Waxman graphs; the ROADMAP's first open
 //! item is that the eager `O(n²)` `P_sl`/`P_lc` tables are what dies
 //! first beyond that. This bench drives the layers that replaced them —
-//! CSR [`Topology`], [`OnDemandPaths`], lazy [`scmp_net::RoutingTables`]
+//! CSR [`Topology`], [`OnDemandPaths`], on-demand [`scmp_net::RoutingTables`]
 //! — at GT-ITM transit–stub and Waxman sizes the old code could not
 //! reach, and *measures* the `O(n²) → O(n·cached)` claim instead of
 //! asserting it:

@@ -17,9 +17,9 @@
 //!   picks by size.
 //! * [`RoutingTables`] — per-node unicast next-hop tables derived from the
 //!   shortest-delay paths; the link-state unicast routing protocol the
-//!   paper assumes is running in the domain. Dense matrix at paper
-//!   scale, lazy per-destination rows beyond
-//!   [`routing::DENSE_MAX_NODES`].
+//!   paper assumes is running in the domain, and the workspace's only
+//!   next-hop answer. One row per destination, filled up front up to
+//!   [`routing::PREFILL_MAX_NODES`] nodes and on first query otherwise.
 //! * [`topology`] — generators: the paper's Waxman model (§IV-A), a
 //!   GT-ITM-like flat random model with target average degree (§IV-B),
 //!   a transit–stub model, the classic ARPANET map, and regular test

@@ -67,25 +67,6 @@ impl AllPairsPaths {
     pub fn path(&self, src: NodeId, dst: NodeId, metric: Metric) -> Option<Vec<NodeId>> {
         self.tree(src, metric).path_to(dst)
     }
-
-    /// Next hop from `src` toward `dst` along the shortest-delay path —
-    /// what a unicast routing table would return. `None` when `src == dst`
-    /// or unreachable.
-    pub fn next_hop_by_delay(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        if src == dst {
-            return None;
-        }
-        // Walk dst's predecessor chain in the tree rooted at src.
-        let tree = &self.by_delay[src.index()];
-        let mut cur = dst;
-        loop {
-            let pred = tree.predecessor(cur)?;
-            if pred == src {
-                return Some(cur);
-            }
-            cur = pred;
-        }
-    }
 }
 
 impl PathProvider for AllPairsPaths {
@@ -159,33 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn next_hop_walks_shortest_delay_path() {
-        let t = fig5();
-        let ap = AllPairsPaths::compute(&t);
-        // From g1 (node 4) toward the m-router (node 0): 4-1-0.
-        assert_eq!(ap.next_hop_by_delay(NodeId(4), NodeId(0)), Some(NodeId(1)));
-        assert_eq!(ap.next_hop_by_delay(NodeId(1), NodeId(0)), Some(NodeId(0)));
-        assert_eq!(ap.next_hop_by_delay(NodeId(0), NodeId(0)), None);
-    }
-
-    #[test]
-    fn next_hop_chain_terminates_at_destination() {
-        let t = fig5();
-        let ap = AllPairsPaths::compute(&t);
-        for src in t.nodes() {
-            for dst in t.nodes() {
-                let mut cur = src;
-                let mut hops = 0;
-                while cur != dst {
-                    cur = ap.next_hop_by_delay(cur, dst).expect("connected");
-                    hops += 1;
-                    assert!(hops <= t.node_count(), "routing loop {src:?}->{dst:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn disconnected_pairs_return_none() {
         let mut b = TopologyBuilder::new(4);
         b.add_link(NodeId(0), NodeId(1), LinkWeight::new(1, 1));
@@ -193,6 +147,5 @@ mod tests {
         let ap = AllPairsPaths::compute(&b.build());
         assert_eq!(ap.distance(NodeId(0), NodeId(2), Metric::Delay), None);
         assert_eq!(ap.path(NodeId(0), NodeId(3), Metric::Cost), None);
-        assert_eq!(ap.next_hop_by_delay(NodeId(1), NodeId(2)), None);
     }
 }

@@ -64,24 +64,6 @@ pub trait PathProvider: fmt::Debug + Send + Sync {
     fn path(&self, src: NodeId, dst: NodeId, metric: Metric) -> Option<Vec<NodeId>> {
         self.tree(src, metric).path_to(dst)
     }
-
-    /// Next hop from `src` toward `dst` along the shortest-delay path —
-    /// what a unicast routing table would return. `None` when
-    /// `src == dst` or unreachable.
-    fn next_hop_by_delay(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        if src == dst {
-            return None;
-        }
-        let tree = self.tree(src, Metric::Delay);
-        let mut cur = dst;
-        loop {
-            let pred = tree.predecessor(cur)?;
-            if pred == src {
-                return Some(cur);
-            }
-            cur = pred;
-        }
-    }
 }
 
 // `Box<dyn PathProvider>` (what `provider_for` hands out) is itself a
@@ -335,7 +317,6 @@ mod tests {
                     assert_eq!(od.distance(s, d, m), ap.distance(s, d, m));
                     assert_eq!(od.path(s, d, m), ap.path(s, d, m));
                 }
-                assert_eq!(od.next_hop_by_delay(s, d), ap.next_hop_by_delay(s, d));
             }
         }
         let st = od.stats();
@@ -424,7 +405,5 @@ mod tests {
         let od = on_demand(&topo, 4);
         assert_eq!(od.distance(NodeId(0), NodeId(3), Metric::Delay), None);
         assert_eq!(od.path(NodeId(0), NodeId(3), Metric::Cost), None);
-        assert_eq!(od.next_hop_by_delay(NodeId(1), NodeId(1)), None);
-        assert_eq!(od.next_hop_by_delay(NodeId(0), NodeId(3)), None);
     }
 }

@@ -12,173 +12,96 @@
 //! loop-free *by construction* even in the presence of zero-delay links
 //! and equal-cost ties — unlike stitching together per-source trees.
 //!
-//! Two representations sit behind one API:
+//! There is one representation: the topology plus one row per
+//! destination, `rows[dst][src]` = next hop, each row the predecessor
+//! column of the delay tree rooted at `dst`. A row is computed on its
+//! first query and kept. [`RoutingTables::compute`] fills every row up
+//! front at up to [`PREFILL_MAX_NODES`] nodes, so paper-scale lookups
+//! never compute; [`RoutingTables::on_demand`] fills none, which is what
+//! fault reconvergence uses — a table that a later flap replaces before
+//! any route is asked of it costs no Dijkstra run at all.
 //!
-//! * **Dense** — the historical `n × n` flat table, `n` Dijkstra runs up
-//!   front, `O(1)` lock-free lookups. Used up to [`DENSE_MAX_NODES`]
-//!   nodes so small-simulation hot paths (and golden traces) are
-//!   untouched.
-//! * **Lazy** — per-destination rows computed on first query and cached.
-//!   A 10k-node domain where traffic touches 40 destinations holds 40
-//!   rows (1.6 MB), not a 400 MB matrix; fault reconvergence rebuilds
-//!   only the rows that are actually re-queried.
-//!
-//! Because each row is a pure function of (topology, dst), lazy tables
-//! return byte-identical routes regardless of query order.
+//! Because each row is a pure function of (topology, dst), every table
+//! returns byte-identical routes regardless of fill policy or query
+//! order.
 
 use crate::dijkstra::{dijkstra_with, DijkstraScratch, Metric};
 use crate::graph::{NodeId, Topology};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, OnceLock};
 
 const NONE: u32 = u32::MAX;
 
-/// Node count at or below which [`RoutingTables::compute`] builds the
-/// dense matrix (16 MB of `u32` at 2048 nodes is the knee; the paper's
-/// topologies are far below it).
-pub const DENSE_MAX_NODES: usize = 1024;
+/// Node count at or below which [`RoutingTables::compute`] fills every
+/// row up front (4 MB of `u32` at 1024 nodes; the paper's topologies are
+/// far below it). Above it rows are computed on first query.
+pub const PREFILL_MAX_NODES: usize = 1024;
 
-/// Per-node unicast next-hop tables (`next_hop[src][dst]` semantics).
+/// Per-node unicast next-hop tables (`next_hop(src, dst)` semantics).
 #[derive(Debug)]
 pub struct RoutingTables {
-    repr: Repr,
-}
-
-#[derive(Debug)]
-enum Repr {
-    Dense {
-        n: usize,
-        /// Flattened `src * n + dst`; `u32::MAX` encodes "none".
-        next: Vec<u32>,
-    },
-    Lazy {
-        topo: Arc<Topology>,
-        state: Mutex<LazyState>,
-    },
-}
-
-#[derive(Debug)]
-struct LazyState {
-    /// dst -> row where `row[src]` is the next hop from src toward dst.
-    rows: HashMap<u32, Arc<Vec<u32>>>,
-    scratch: DijkstraScratch,
-}
-
-impl Clone for RoutingTables {
-    fn clone(&self) -> Self {
-        let repr = match &self.repr {
-            Repr::Dense { n, next } => Repr::Dense {
-                n: *n,
-                next: next.clone(),
-            },
-            Repr::Lazy { topo, state } => {
-                let st = state.lock().expect("routing lock");
-                Repr::Lazy {
-                    topo: Arc::clone(topo),
-                    state: Mutex::new(LazyState {
-                        rows: st.rows.clone(),
-                        scratch: DijkstraScratch::new(),
-                    }),
-                }
-            }
-        };
-        RoutingTables { repr }
-    }
+    topo: Topology,
+    /// `rows[dst][src]` is the next hop from `src` toward `dst`;
+    /// `u32::MAX` encodes "none".
+    rows: Box<[OnceLock<Box<[u32]>>]>,
+    /// Dijkstra working memory, taken only when a row is missing.
+    scratch: Mutex<DijkstraScratch>,
 }
 
 impl RoutingTables {
-    /// Build next-hop tables for the whole topology. Dense (n Dijkstra
-    /// runs by delay, matching a link-state IGP with delay as the metric)
-    /// up to [`DENSE_MAX_NODES`]; lazy per-destination rows above.
+    /// Build next-hop tables for the whole topology (delay as the
+    /// metric, matching a link-state IGP). Every row is filled up front
+    /// at up to [`PREFILL_MAX_NODES`] nodes; above, none is.
     pub fn compute(topo: &Topology) -> Self {
-        if topo.node_count() <= DENSE_MAX_NODES {
-            RoutingTables::compute_dense(topo)
-        } else {
-            RoutingTables::lazy(Arc::new(topo.clone()))
-        }
-    }
-
-    /// Force the dense `n × n` representation regardless of size.
-    pub fn compute_dense(topo: &Topology) -> Self {
-        let n = topo.node_count();
-        let mut next = vec![NONE; n * n];
-        let mut scratch = DijkstraScratch::new();
-        for dst in topo.nodes() {
-            let tree = dijkstra_with(topo, dst, Metric::Delay, &mut scratch);
-            for src in topo.nodes() {
-                if src == dst {
-                    continue;
-                }
-                // First hop of src->dst = predecessor of src in the tree
-                // rooted at dst (path reversal under symmetric links).
-                if let Some(p) = tree.predecessor(src) {
-                    next[src.index() * n + dst.index()] = p.0;
-                }
+        let rt = RoutingTables::on_demand(topo.clone());
+        if topo.node_count() <= PREFILL_MAX_NODES {
+            for dst in topo.nodes() {
+                rt.row(dst);
             }
-            scratch.recycle(tree);
         }
-        RoutingTables {
-            repr: Repr::Dense { n, next },
-        }
+        rt
     }
 
-    /// Lazy tables over `topo`: rows materialise on first query toward a
-    /// destination.
-    pub fn lazy(topo: Arc<Topology>) -> Self {
+    /// Tables over `topo` with no row filled: each destination's row is
+    /// computed on its first query.
+    pub fn on_demand(topo: Topology) -> Self {
+        let rows = (0..topo.node_count()).map(|_| OnceLock::new()).collect();
         RoutingTables {
-            repr: Repr::Lazy {
-                topo,
-                state: Mutex::new(LazyState {
-                    rows: HashMap::new(),
-                    scratch: DijkstraScratch::new(),
-                }),
-            },
+            topo,
+            rows,
+            scratch: Mutex::new(DijkstraScratch::new()),
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        match &self.repr {
-            Repr::Dense { n, .. } => *n,
-            Repr::Lazy { topo, .. } => topo.node_count(),
-        }
+        self.rows.len()
     }
 
-    /// Heap bytes of resident routing state (the full matrix when dense,
-    /// only the touched rows when lazy).
+    /// Heap bytes of the resident rows.
     pub fn resident_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Dense { next, .. } => next.len() * std::mem::size_of::<u32>(),
-            Repr::Lazy { state, .. } => {
-                let st = state.lock().expect("routing lock");
-                st.rows
-                    .values()
-                    .map(|r| r.len() * std::mem::size_of::<u32>())
-                    .sum()
-            }
-        }
+        self.rows
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|r| std::mem::size_of_val::<[u32]>(r))
+            .sum()
     }
 
-    fn lazy_row(topo: &Topology, state: &Mutex<LazyState>, dst: NodeId) -> Arc<Vec<u32>> {
-        let st = &mut *state.lock().expect("routing lock");
-        if let Some(row) = st.rows.get(&dst.0) {
-            return Arc::clone(row);
-        }
-        let tree = dijkstra_with(topo, dst, Metric::Delay, &mut st.scratch);
-        let row: Vec<u32> = topo
-            .nodes()
-            .map(|src| {
-                if src == dst {
-                    NONE
-                } else {
-                    tree.predecessor(src).map_or(NONE, |p| p.0)
-                }
-            })
-            .collect();
-        st.scratch.recycle(tree);
-        let row = Arc::new(row);
-        st.rows.insert(dst.0, Arc::clone(&row));
-        row
+    /// The row toward `dst`, computed on first use.
+    fn row(&self, dst: NodeId) -> &[u32] {
+        self.rows[dst.index()].get_or_init(|| {
+            let scratch = &mut *self.scratch.lock().expect("routing lock");
+            let tree = dijkstra_with(&self.topo, dst, Metric::Delay, scratch);
+            // First hop of src->dst = predecessor of src in the tree
+            // rooted at dst (path reversal under symmetric links); the
+            // root itself has none.
+            let row = self
+                .topo
+                .nodes()
+                .map(|src| tree.predecessor(src).map_or(NONE, |p| p.0))
+                .collect();
+            scratch.recycle(tree);
+            row
+        })
     }
 
     /// Next hop on the unicast route from `src` to `dst`.
@@ -186,11 +109,7 @@ impl RoutingTables {
     /// `None` when `src == dst` or `dst` is unreachable.
     #[inline]
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        let v = match &self.repr {
-            Repr::Dense { n, next } => next[src.index() * n + dst.index()],
-            Repr::Lazy { topo, state } => RoutingTables::lazy_row(topo, state, dst)[src.index()],
-        };
-        (v != NONE).then_some(NodeId(v))
+        hop(self.row(dst), src)
     }
 
     /// Materialise the full hop-by-hop route `src -> … -> dst`.
@@ -198,18 +117,25 @@ impl RoutingTables {
         if src == dst {
             return Some(vec![src]);
         }
-        let n = self.node_count();
+        let row = self.row(dst);
         let mut out = vec![src];
         let mut cur = src;
         while cur != dst {
-            cur = self.next_hop(cur, dst)?;
+            cur = hop(row, cur)?;
             out.push(cur);
-            if out.len() > n {
+            if out.len() > row.len() {
                 unreachable!("routing loop from {src:?} to {dst:?}");
             }
         }
         Some(out)
     }
+}
+
+/// The next hop of `src` in one destination's row.
+#[inline]
+fn hop(row: &[u32], src: NodeId) -> Option<NodeId> {
+    let v = row[src.index()];
+    (v != NONE).then_some(NodeId(v))
 }
 
 #[cfg(test)]
@@ -238,36 +164,51 @@ mod tests {
     }
 
     #[test]
-    fn lazy_matches_dense() {
-        let t = fig5();
-        let dense = RoutingTables::compute_dense(&t);
-        let lazy = RoutingTables::lazy(Arc::new(t.clone()));
-        for src in t.nodes() {
-            for dst in t.nodes() {
-                assert_eq!(lazy.next_hop(src, dst), dense.next_hop(src, dst));
-                assert_eq!(lazy.route(src, dst), dense.route(src, dst));
-            }
-        }
-        // Only the queried destinations are resident.
-        assert_eq!(
-            lazy.resident_bytes(),
-            t.node_count() * t.node_count() * std::mem::size_of::<u32>()
-        );
-    }
-
-    #[test]
     fn lazy_rows_materialise_on_demand() {
         let t = fig5();
-        let lazy = RoutingTables::lazy(Arc::new(t.clone()));
+        let lazy = RoutingTables::on_demand(t.clone());
         assert_eq!(lazy.resident_bytes(), 0);
         lazy.next_hop(NodeId(0), NodeId(4));
         assert_eq!(
             lazy.resident_bytes(),
             t.node_count() * std::mem::size_of::<u32>()
         );
-        // A clone carries the cached rows.
-        let cloned = lazy.clone();
-        assert_eq!(cloned.resident_bytes(), lazy.resident_bytes());
+        // A prefilled table holds every row.
+        assert_eq!(
+            RoutingTables::compute(&t).resident_bytes(),
+            t.node_count() * t.node_count() * std::mem::size_of::<u32>()
+        );
+    }
+
+    #[test]
+    fn next_hop_walks_shortest_delay_path() {
+        let t = fig5();
+        let rt = RoutingTables::compute(&t);
+        // From g1 (node 4) toward the m-router (node 0): 4-1-0.
+        assert_eq!(rt.next_hop(NodeId(4), NodeId(0)), Some(NodeId(1)));
+        assert_eq!(rt.next_hop(NodeId(1), NodeId(0)), Some(NodeId(0)));
+        assert_eq!(rt.next_hop(NodeId(0), NodeId(0)), None);
+        assert_eq!(
+            rt.route(NodeId(4), NodeId(0)),
+            Some(vec![NodeId(4), NodeId(1), NodeId(0)])
+        );
+    }
+
+    #[test]
+    fn next_hop_chain_terminates_at_destination() {
+        let t = fig5();
+        let rt = RoutingTables::compute(&t);
+        for src in t.nodes() {
+            for dst in t.nodes() {
+                let mut cur = src;
+                let mut hops = 0;
+                while cur != dst {
+                    cur = rt.next_hop(cur, dst).expect("connected");
+                    hops += 1;
+                    assert!(hops <= t.node_count(), "routing loop {src:?}->{dst:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Property-based tests for the network substrate.
 
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::Rng;
 use scmp_net::rng::rng_for;
 use scmp_net::topology::{gt_itm_flat, transit_stub, waxman, GtItmConfig, WaxmanConfig};
 use scmp_net::{
-    dijkstra, AllPairsPaths, Metric, NodeId, OnDemandPaths, PathProvider, RoutingTables,
+    dijkstra, AllPairsPaths, LinkWeight, Metric, NodeId, OnDemandPaths, PathProvider,
+    RoutingTables, Topology, TopologyBuilder,
 };
 
 fn small_waxman(seed: u64, n: usize) -> scmp_net::Topology {
@@ -106,7 +109,7 @@ fn small_transit_stub(seed: u64, stub_size: usize) -> scmp_net::Topology {
 }
 
 /// The on-demand provider must be observationally identical to the
-/// eager tables: same trees, distances, paths, and next hops — with a
+/// eager tables: same trees, distances and paths — with a
 /// tiny cache so eviction-and-recompute is exercised, and again after
 /// an explicit `invalidate`.
 fn assert_provider_matches(topo: &scmp_net::Topology) -> Result<(), TestCaseError> {
@@ -130,10 +133,6 @@ fn assert_provider_matches(topo: &scmp_net::Topology) -> Result<(), TestCaseErro
                     prop_assert_eq!(ap.distance(src, dst, m), od.distance(src, dst, m));
                     prop_assert_eq!(ap.path(src, dst, m), od.path(src, dst, m));
                 }
-                prop_assert_eq!(
-                    ap.next_hop_by_delay(src, dst),
-                    od.next_hop_by_delay(src, dst)
-                );
             }
         }
     }
@@ -158,5 +157,66 @@ proptest! {
     fn on_demand_matches_all_pairs_transit_stub(seed in 0u64..500, stub in 1usize..4) {
         let t = small_transit_stub(seed, stub);
         assert_provider_matches(&t)?;
+    }
+}
+
+/// `topo` with about a third of its link delays zeroed, so equal-delay
+/// ties and zero-delay cycles are common.
+fn with_zero_delays(topo: &Topology, seed: u64) -> Topology {
+    let mut rng = rng_for("prop-zero-delay", seed);
+    let mut b = TopologyBuilder::new(topo.node_count());
+    for &(a, bb, w) in topo.edges() {
+        let delay = if rng.gen_bool(1.0 / 3.0) { 0 } else { w.delay };
+        b.add_link(a, bb, LinkWeight::new(delay, w.cost));
+    }
+    b.build()
+}
+
+/// A prefilled table and an on-demand one queried pair by pair in a
+/// shuffled order give the same next hop and route for every pair, and
+/// every route realises the shortest delay. Checked on `topo` and again
+/// on a subtopology with about a quarter of the links cut.
+fn assert_fill_policy_invisible(topo: &Topology, seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = rng_for("prop-route-cut", seed);
+    let cut = topo.subtopology(|_| true, |_, _| !rng.gen_bool(0.25));
+    for t in [topo, &cut] {
+        let prefilled = RoutingTables::compute(t);
+        let on_demand = RoutingTables::on_demand(t.clone());
+        prop_assert_eq!(on_demand.resident_bytes(), 0);
+        let ap = AllPairsPaths::compute(t);
+        let mut pairs: Vec<(NodeId, NodeId)> = t
+            .nodes()
+            .flat_map(|src| t.nodes().map(move |dst| (src, dst)))
+            .collect();
+        pairs.shuffle(&mut rng_for("prop-route-order", seed));
+        for (src, dst) in pairs {
+            prop_assert_eq!(on_demand.next_hop(src, dst), prefilled.next_hop(src, dst));
+            let route = on_demand.route(src, dst);
+            prop_assert_eq!(&route, &prefilled.route(src, dst));
+            let delay = route.map(|r| t.path_weight(&r).expect("valid path").delay);
+            prop_assert_eq!(delay, ap.unicast_delay(src, dst));
+        }
+        prop_assert_eq!(on_demand.resident_bytes(), prefilled.resident_bytes());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Prefilled ≡ on-demand routing tables on Waxman graphs with
+    /// zero-delay ties, whole and with links cut.
+    #[test]
+    fn prefilled_matches_on_demand_waxman(seed in 0u64..500, n in 2usize..25) {
+        let t = with_zero_delays(&small_waxman(seed, n), seed);
+        assert_fill_policy_invisible(&t, seed)?;
+    }
+
+    /// Same equivalence on GT-ITM flat random graphs.
+    #[test]
+    fn prefilled_matches_on_demand_gt_itm(seed in 0u64..500, n in 2usize..25, deg in 1u32..6) {
+        let cfg = GtItmConfig { n, average_degree: deg as f64, grid: 1000 };
+        let t = with_zero_delays(&gt_itm_flat(&cfg, &mut rng_for("prop-gtitm", seed)), seed);
+        assert_fill_policy_invisible(&t, seed)?;
     }
 }

@@ -338,16 +338,11 @@ impl<R: Router> Engine<R> {
         self.reconverge_routes();
     }
 
-    /// Recompute the unicast next-hop tables over the surviving links.
+    /// Reconverge the unicast next-hop tables over the surviving links.
+    /// No row is computed here: each is recomputed when next queried, so
+    /// a flap storm whose tables are replaced unread costs no Dijkstra.
     fn reconverge_routes(&mut self) {
-        use scmp_net::graph::TopologyBuilder;
-        let mut b = TopologyBuilder::new(self.topo.node_count());
-        for &(a, bb, w) in self.topo.edges() {
-            if self.transport.link_alive(a, bb) {
-                b.add_link(a, bb, w);
-            }
-        }
-        self.routes = RoutingTables::compute(&b.build());
+        self.routes = RoutingTables::on_demand(self.transport.surviving(&self.topo));
     }
 
     fn start_if_needed(&mut self) {

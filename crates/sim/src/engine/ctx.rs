@@ -67,10 +67,7 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
     /// The topology restricted to live nodes and links — what a repair
     /// algorithm should plan over. Node ids are preserved.
     pub fn surviving_topology(&self) -> Topology {
-        self.topo.subtopology(
-            |v| self.transport.node_up(v),
-            |a, b| !self.transport.link_cut(a, b),
-        )
+        self.transport.surviving(self.topo)
     }
 
     /// Record a completed tree repair: the elapsed time since the most

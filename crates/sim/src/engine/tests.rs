@@ -6,7 +6,7 @@ use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::packet::{GroupId, Packet, PacketClass};
 use scmp_net::graph::LinkWeight;
 use scmp_net::topology::regular::line;
-use scmp_net::NodeId;
+use scmp_net::{NodeId, RoutingTables};
 
 /// A toy protocol: floods data to all neighbours except the one it
 /// came from; delivers locally everywhere; answers a Join app event
@@ -722,4 +722,61 @@ fn erased_runner_drives_like_the_concrete_engine() {
     assert_eq!(concrete.stats().data_overhead, erased.stats().data_overhead);
     assert_eq!(concrete.stats().distinct_deliveries(), 5);
     assert_eq!(erased.stats().distinct_deliveries(), 5);
+}
+
+#[test]
+fn link_flaps_leave_routes_unmaterialised_until_queried() {
+    /// What the probe saw on its app event: the resident route bytes
+    /// before and after one unicast, the route its tables gave, and the
+    /// route a fresh full computation over the surviving graph gives.
+    #[derive(Clone)]
+    struct Seen {
+        before: usize,
+        after: usize,
+        route: Option<Vec<NodeId>>,
+        expect: Option<Vec<NodeId>>,
+    }
+    #[derive(Default)]
+    struct Probe {
+        seen: Option<Seen>,
+    }
+    #[derive(Clone, Debug)]
+    struct M;
+    impl Router for Probe {
+        type Msg = M;
+        fn on_packet(&mut self, _: NodeId, _: Packet<M>, _: &mut Ctx<'_, M>) {}
+        fn on_app(&mut self, _: AppEvent, ctx: &mut Ctx<'_, M>) {
+            let (me, dst) = (ctx.me(), NodeId(3));
+            let before = ctx.routes().resident_bytes();
+            ctx.unicast(dst, Packet::control(GroupId(0), M));
+            self.seen = Some(Seen {
+                before,
+                after: ctx.routes().resident_bytes(),
+                route: ctx.routes().route(me, dst),
+                expect: RoutingTables::compute(&ctx.surviving_topology()).route(me, dst),
+            });
+        }
+    }
+    let n = 6;
+    let topo = scmp_net::topology::regular::ring(n, LinkWeight::new(1, 1));
+    let mut e: Engine<Probe> = Engine::new(topo, |_, _, _| Probe::default());
+    // Three flaps of 0-1, then 2-3 goes down for good: 2 reaches 3 the
+    // long way round.
+    let (a, b) = (NodeId(0), NodeId(1));
+    for k in 0..3 {
+        e.schedule_fault(10 + 2 * k, FaultEvent::LinkDown { a, b });
+        e.schedule_fault(11 + 2 * k, FaultEvent::LinkUp { a, b });
+    }
+    let (a, b) = (NodeId(2), NodeId(3));
+    e.schedule_fault(20, FaultEvent::LinkDown { a, b });
+    e.schedule_app(30, NodeId(2), AppEvent::Leave(GroupId(0)));
+    e.run_to_quiescence();
+    let seen = e.router(NodeId(2)).seen.clone().expect("probe ran");
+    assert_eq!(seen.before, 0, "a flap must not recompute any route row");
+    let row_bytes = n * std::mem::size_of::<u32>();
+    assert_eq!(seen.after, row_bytes, "exactly one row resident");
+    let long_way = [2, 1, 0, 5, 4, 3].map(NodeId).to_vec();
+    assert_eq!(seen.expect, Some(long_way));
+    assert_eq!(seen.route, seen.expect);
+    assert_eq!(e.stats().control_hops, 5);
 }

@@ -9,7 +9,7 @@
 
 use super::SimTime;
 use crate::channel::{ChannelModel, ChannelOutcome};
-use scmp_net::NodeId;
+use scmp_net::{NodeId, Topology};
 use std::collections::{HashMap, HashSet};
 
 /// Finite link-capacity model (off by default).
@@ -157,6 +157,12 @@ impl Transport {
     /// Is the link `a`–`b` (and both endpoints) currently usable?
     pub fn link_alive(&self, a: NodeId, b: NodeId) -> bool {
         !self.link_cut(a, b) && self.node_up(a) && self.node_up(b)
+    }
+
+    /// `topo` restricted to live nodes and links, node ids preserved:
+    /// the graph the IGP reconverges over and repairs plan over.
+    pub fn surviving(&self, topo: &Topology) -> Topology {
+        topo.subtopology(|v| self.node_up(v), |a, b| !self.link_cut(a, b))
     }
 
     /// True while any node or link is out of service — the failure

@@ -110,6 +110,14 @@ inspect +args:
 regress *args:
     cargo run --release -p scmp-bench --bin regress -- {{args}}
 
+# End-to-end run benchmark: paper-fig89, waxman1k-churn and flap-storm
+# once each, result lines written to `out`, then `scmp-runbench compare`
+# against the same files in `base` (skipped when absent). Make the
+# baseline by running the recipe before a change with
+# `out=.bench_out/base` (.bench_out/ is git-ignored).
+runbench out=".bench_out/latest" base=".bench_out/base" seed="1" seconds="20":
+    ./scripts/runbench.sh {{out}} {{base}} {{seed}} {{seconds}}
+
 # Reconstruct causal packet journeys from a committed golden trace:
 #   just journey 1        every journey in group 1
 #   just journey 1:3      the hop-by-hop journey of g1 payload #3
