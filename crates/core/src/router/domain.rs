@@ -2,7 +2,7 @@
 
 use super::ScmpConfig;
 use scmp_net::{provider_for, PathProvider, Topology};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Immutable domain context shared by all routers (the m-router's global
 /// knowledge; i-routers only use the topology for neighbour checks).
@@ -16,9 +16,9 @@ pub struct ScmpDomain {
     /// Protocol configuration.
     pub config: ScmpConfig,
     /// Failover view: the topology with the primary m-router's links
-    /// removed, plus its path tables. Precomputed when a standby is
-    /// configured so the takeover plans trees around the dead primary.
-    pub failover: Option<(Topology, Box<dyn PathProvider>)>,
+    /// removed, plus its path tables. Built on the first
+    /// [`ScmpDomain::failover`] call, i.e. by a standby's takeover.
+    failover: OnceLock<(Topology, Box<dyn PathProvider>)>,
 }
 
 impl ScmpDomain {
@@ -26,16 +26,30 @@ impl ScmpDomain {
     /// size; see [`provider_for`]).
     pub fn new(topo: Topology, config: ScmpConfig) -> Arc<Self> {
         let paths = provider_for(&topo);
-        let failover = config.standby.map(|_| {
-            let ft = topo.without_node(config.m_router);
-            let fp = provider_for(&ft);
-            (ft, fp)
-        });
         Arc::new(ScmpDomain {
             topo,
             paths,
             config,
-            failover,
+            failover: OnceLock::new(),
         })
+    }
+
+    /// The view a promoted standby plans trees in: the topology without
+    /// the primary m-router's links, and its path tables. `None` when no
+    /// standby is configured. Built on first use.
+    pub fn failover(&self) -> Option<(&Topology, &dyn PathProvider)> {
+        self.config.standby?;
+        let (topo, paths) = self.failover.get_or_init(|| {
+            let topo = self.topo.without_node(self.config.m_router);
+            let paths = provider_for(&topo);
+            (topo, paths)
+        });
+        Some((topo, &**paths))
+    }
+
+    /// True once [`ScmpDomain::failover`] has built the failover view.
+    #[cfg(test)]
+    pub(super) fn failover_is_built(&self) -> bool {
+        self.failover.get().is_some()
     }
 }

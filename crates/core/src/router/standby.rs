@@ -128,10 +128,7 @@ impl ScmpRouter {
         let domain = Arc::clone(&self.domain);
         let me = self.me;
         // Plan around the failed primary: its links are unusable.
-        let (topo, paths) = match &domain.failover {
-            Some((t, p)) => (t, p),
-            None => (&domain.topo, &domain.paths),
-        };
+        let (topo, paths) = domain.failover().unwrap_or((&domain.topo, &*domain.paths));
         let Role::MRouter(state) = &mut self.role else {
             return;
         };
@@ -150,7 +147,7 @@ impl ScmpRouter {
                 continue;
             }
             state.assign_fabric_port(group);
-            let mut dcdm = Dcdm::new(topo, &**paths, me, domain.config.bound);
+            let mut dcdm = Dcdm::new(topo, paths, me, domain.config.bound);
             for m in &members {
                 dcdm.join(*m);
             }
@@ -176,7 +173,7 @@ impl ScmpRouter {
                 group,
                 scmp_telemetry::HealthTrigger::Takeover,
                 topo,
-                &**paths,
+                paths,
                 &tree,
                 ctx,
             );

@@ -230,6 +230,30 @@ fn failover_restores_service() {
 }
 
 #[test]
+fn failover_view_is_built_by_the_takeover() {
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.standby = Some(NodeId(2));
+    cfg.heartbeat_interval = 500;
+    cfg.takeover_rebuild_delay = 500;
+    let mut e = build(fig5(), cfg);
+    let domain = Arc::clone(&e.router(NodeId(2)).domain);
+    e.schedule_app(0, NodeId(4), AppEvent::Join(G));
+    e.run_until(3_000);
+    assert!(!domain.failover_is_built(), "no takeover yet");
+    e.set_node_down(NodeId(0), true);
+    e.run_until(20_000);
+    assert!(e.router(NodeId(2)).is_m_router(), "standby promoted");
+    assert!(domain.failover_is_built());
+    let (topo, paths) = domain.failover().expect("standby configured");
+    assert_eq!(topo.degree(NodeId(0)), 0, "the primary is cut off");
+    assert_eq!(paths.unicast_delay(NodeId(4), NodeId(0)), None);
+    // Without a standby there is no failover view.
+    let plain = ScmpDomain::new(fig5(), ScmpConfig::new(NodeId(0)));
+    assert!(plain.failover().is_none());
+    assert!(!plain.failover_is_built());
+}
+
+#[test]
 fn no_takeover_while_primary_alive() {
     let mut cfg = ScmpConfig::new(NodeId(0));
     cfg.standby = Some(NodeId(2));

@@ -120,6 +120,11 @@ impl DijkstraScratch {
         self.pred_pool.push(tree.pred);
     }
 
+    /// True iff the last run settled `node` (see [`dijkstra_until`]).
+    pub(crate) fn settled(&self, node: NodeId) -> bool {
+        self.done[node.index()]
+    }
+
     /// Take (or allocate) an output buffer pair sized and reset for `n`
     /// nodes.
     fn take_bufs(&mut self, n: usize) -> (Vec<u64>, Vec<Option<NodeId>>) {
@@ -152,6 +157,26 @@ pub fn dijkstra_with(
     metric: Metric,
     scratch: &mut DijkstraScratch,
 ) -> ShortestPathTree {
+    dijkstra_until(topo, source, metric, None, scratch)
+}
+
+/// The one Dijkstra kernel: from `source`, stopping as soon as `stop`
+/// (when given) is settled.
+///
+/// A settled node's distance and predecessor are final — later
+/// relaxations never touch a settled node, and nodes settle in the
+/// same order whether or not the run stops early — so after an early
+/// stop every node for which [`DijkstraScratch::settled`] holds carries
+/// exactly what a full run gives it. Every other node's entry is
+/// tentative. When `stop` is never settled (it is unreachable) the run
+/// exhausts the heap and the whole tree is final.
+pub(crate) fn dijkstra_until(
+    topo: &Topology,
+    source: NodeId,
+    metric: Metric,
+    stop: Option<NodeId>,
+    scratch: &mut DijkstraScratch,
+) -> ShortestPathTree {
     let n = topo.node_count();
     let (mut dist, mut pred) = scratch.take_bufs(n);
     let done = &mut scratch.done;
@@ -166,6 +191,9 @@ pub fn dijkstra_with(
             continue;
         }
         done[v.index()] = true;
+        if stop == Some(v) {
+            break;
+        }
         for e in topo.neighbors(v) {
             let nd = d + metric.of(e.weight);
             let slot = &mut dist[e.to.index()];

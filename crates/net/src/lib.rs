@@ -18,8 +18,9 @@
 //! * [`RoutingTables`] — per-node unicast next-hop tables derived from the
 //!   shortest-delay paths; the link-state unicast routing protocol the
 //!   paper assumes is running in the domain, and the workspace's only
-//!   next-hop answer. One row per destination, filled up front up to
-//!   [`routing::PREFILL_MAX_NODES`] nodes and on first query otherwise.
+//!   next-hop answer. One row per destination, built only when a route
+//!   toward it is asked for, and at first only as far as the asking
+//!   router (see [`mod@routing`]).
 //! * [`topology`] — generators: the paper's Waxman model (§IV-A), a
 //!   GT-ITM-like flat random model with target average degree (§IV-B),
 //!   a transit–stub model, the classic ARPANET map, and regular test
@@ -39,4 +40,4 @@ pub use dijkstra::{dijkstra, dijkstra_with, DijkstraScratch, Metric, ShortestPat
 pub use graph::{EdgeRef, LinkWeight, NodeId, Topology, TopologyBuilder};
 pub use paths::AllPairsPaths;
 pub use provider::{provider_for, shared_provider_for, CacheStats, OnDemandPaths, PathProvider};
-pub use routing::RoutingTables;
+pub use routing::{RoutingTables, RowBuilds};

@@ -14,61 +14,95 @@
 //!
 //! There is one representation: the topology plus one row per
 //! destination, `rows[dst][src]` = next hop, each row the predecessor
-//! column of the delay tree rooted at `dst`. A row is computed on its
-//! first query and kept. [`RoutingTables::compute`] fills every row up
-//! front at up to [`PREFILL_MAX_NODES`] nodes, so paper-scale lookups
-//! never compute; [`RoutingTables::on_demand`] fills none, which is what
-//! fault reconvergence uses — a table that a later flap replaces before
-//! any route is asked of it costs no Dijkstra run at all.
+//! column of the delay tree rooted at `dst`. No row exists until a
+//! route toward its destination is asked for, and a row miss pays only
+//! for the asking router:
 //!
-//! Because each row is a pure function of (topology, dst), every table
-//! returns byte-identical routes regardless of fill policy or query
-//! order.
+//! * The first miss on a row runs the Dijkstra rooted at `dst` only
+//!   until the querying `src` is settled, and records the next hop of
+//!   every settled node (a *partial* build). A settled node's
+//!   predecessor is final, and so is every node on its predecessor
+//!   chain, so the answer — and the whole route from `src` — is what a
+//!   full run gives. Unsettled entries stay unknown.
+//! * A later miss from a source that is still unknown in the row runs
+//!   the Dijkstra to completion (a *full* build), which leaves no entry
+//!   unknown. A row is therefore built at most twice.
+//!
+//! [`RoutingTables::on_demand`] is what the engine builds, at
+//! construction and after every fault — a table that a later flap
+//! replaces before any route is asked of it costs no Dijkstra run at
+//! all. [`RoutingTables::compute`] fills every row in full up front
+//! (`O(n²)` memory): it is the eager reference the tests and the
+//! benchmark's routing probe compare against.
+//!
+//! Because each entry is a pure function of (topology, dst, src), every
+//! table returns byte-identical routes regardless of fill policy or
+//! query order. [`RoutingTables::row_builds`] counts the builds.
 
-use crate::dijkstra::{dijkstra_with, DijkstraScratch, Metric};
+use crate::dijkstra::{dijkstra_until, DijkstraScratch, Metric};
 use crate::graph::{NodeId, Topology};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+/// Row entry: no next hop (`src == dst` or unreachable).
 const NONE: u32 = u32::MAX;
+/// Row entry: not settled by the row's partial build yet.
+const UNKNOWN: u32 = u32::MAX - 1;
 
-/// Node count at or below which [`RoutingTables::compute`] fills every
-/// row up front (4 MB of `u32` at 1024 nodes; the paper's topologies are
-/// far below it). Above it rows are computed on first query.
-pub const PREFILL_MAX_NODES: usize = 1024;
+/// How many rows a [`RoutingTables`] has built, by kind (a deterministic
+/// work counter: identical on every host for the same query sequence).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowBuilds {
+    /// First builds of a row, stopped once the asking router settled.
+    pub partial: u64,
+    /// Builds that ran the Dijkstra to completion: a row's second build,
+    /// or every row of [`RoutingTables::compute`].
+    pub full: u64,
+}
+
+/// What a row miss works with, behind one lock.
+#[derive(Debug, Default)]
+struct Builder {
+    scratch: DijkstraScratch,
+    builds: RowBuilds,
+}
 
 /// Per-node unicast next-hop tables (`next_hop(src, dst)` semantics).
 #[derive(Debug)]
 pub struct RoutingTables {
     topo: Topology,
     /// `rows[dst][src]` is the next hop from `src` toward `dst`;
-    /// `u32::MAX` encodes "none".
-    rows: Box<[OnceLock<Box<[u32]>>]>,
-    /// Dijkstra working memory, taken only when a row is missing.
-    scratch: Mutex<DijkstraScratch>,
+    /// [`NONE`] encodes "none", [`UNKNOWN`] "not built yet". Entries are
+    /// written only under the `builder` lock, and a known entry never
+    /// changes.
+    rows: Box<[OnceLock<Box<[AtomicU32]>>]>,
+    /// Dijkstra working memory and build counters, taken only on a miss.
+    builder: Mutex<Builder>,
 }
 
 impl RoutingTables {
     /// Build next-hop tables for the whole topology (delay as the
-    /// metric, matching a link-state IGP). Every row is filled up front
-    /// at up to [`PREFILL_MAX_NODES`] nodes; above, none is.
+    /// metric, matching a link-state IGP) with every row filled in full
+    /// up front.
     pub fn compute(topo: &Topology) -> Self {
         let rt = RoutingTables::on_demand(topo.clone());
-        if topo.node_count() <= PREFILL_MAX_NODES {
+        {
+            let b = &mut *rt.builder.lock().expect("routing lock");
             for dst in topo.nodes() {
-                rt.row(dst);
+                rt.build(dst, None, b);
             }
         }
         rt
     }
 
-    /// Tables over `topo` with no row filled: each destination's row is
-    /// computed on its first query.
+    /// Tables over `topo` with no row built: each destination's row is
+    /// built when a route toward it is first asked for.
     pub fn on_demand(topo: Topology) -> Self {
         let rows = (0..topo.node_count()).map(|_| OnceLock::new()).collect();
         RoutingTables {
             topo,
             rows,
-            scratch: Mutex::new(DijkstraScratch::new()),
+            builder: Mutex::new(Builder::default()),
         }
     }
 
@@ -82,26 +116,69 @@ impl RoutingTables {
         self.rows
             .iter()
             .filter_map(OnceLock::get)
-            .map(|r| std::mem::size_of_val::<[u32]>(r))
+            .map(|r| std::mem::size_of_val::<[AtomicU32]>(r))
             .sum()
     }
 
-    /// The row toward `dst`, computed on first use.
-    fn row(&self, dst: NodeId) -> &[u32] {
-        self.rows[dst.index()].get_or_init(|| {
-            let scratch = &mut *self.scratch.lock().expect("routing lock");
-            let tree = dijkstra_with(&self.topo, dst, Metric::Delay, scratch);
+    /// Rows built so far, partial and full.
+    pub fn row_builds(&self) -> RowBuilds {
+        self.builder.lock().expect("routing lock").builds
+    }
+
+    /// `src`'s entry in the row toward `dst`, building the row far
+    /// enough on a miss. Never [`UNKNOWN`].
+    ///
+    /// Relaxed loads suffice: a known entry never changes, and a reader
+    /// that finds an entry unknown re-reads it under the builder lock,
+    /// which orders it after every earlier build.
+    fn entry(&self, src: NodeId, dst: NodeId) -> u32 {
+        let cell = &self.rows[dst.index()];
+        let known = |row: &[AtomicU32]| {
+            let v = row[src.index()].load(Ordering::Relaxed);
+            (v != UNKNOWN).then_some(v)
+        };
+        if let Some(v) = cell.get().and_then(|row| known(row)) {
+            return v;
+        }
+        let b = &mut *self.builder.lock().expect("routing lock");
+        let row = match cell.get() {
+            None => self.build(dst, Some(src), b),
+            Some(row) => match known(row) {
+                // Another thread built the entry meanwhile.
+                Some(v) => return v,
+                None => self.build(dst, None, b),
+            },
+        };
+        row[src.index()].load(Ordering::Relaxed)
+    }
+
+    /// Run the Dijkstra rooted at `dst` — stopping once `stop` is
+    /// settled, when given — and record every final next hop in `dst`'s
+    /// row. Caller holds the builder lock.
+    fn build(&self, dst: NodeId, stop: Option<NodeId>, b: &mut Builder) -> &[AtomicU32] {
+        let n = self.topo.node_count();
+        let tree = dijkstra_until(&self.topo, dst, Metric::Delay, stop, &mut b.scratch);
+        // An unreachable stop node exhausts the heap: then every entry
+        // is final, as after a full run.
+        let partial = stop.is_some_and(|s| b.scratch.settled(s));
+        let row = self.rows[dst.index()]
+            .get_or_init(|| (0..n).map(|_| AtomicU32::new(UNKNOWN)).collect());
+        for src in self.topo.nodes() {
             // First hop of src->dst = predecessor of src in the tree
             // rooted at dst (path reversal under symmetric links); the
             // root itself has none.
-            let row = self
-                .topo
-                .nodes()
-                .map(|src| tree.predecessor(src).map_or(NONE, |p| p.0))
-                .collect();
-            scratch.recycle(tree);
-            row
-        })
+            if !partial || b.scratch.settled(src) {
+                let hop = tree.predecessor(src).map_or(NONE, |p| p.0);
+                row[src.index()].store(hop, Ordering::Relaxed);
+            }
+        }
+        b.scratch.recycle(tree);
+        if stop.is_some() {
+            b.builds.partial += 1;
+        } else {
+            b.builds.full += 1;
+        }
+        row
     }
 
     /// Next hop on the unicast route from `src` to `dst`.
@@ -109,33 +186,25 @@ impl RoutingTables {
     /// `None` when `src == dst` or `dst` is unreachable.
     #[inline]
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        hop(self.row(dst), src)
+        let v = self.entry(src, dst);
+        (v != NONE).then_some(NodeId(v))
     }
 
-    /// Materialise the full hop-by-hop route `src -> … -> dst`.
+    /// Materialise the full hop-by-hop route `src -> … -> dst`. Every
+    /// hop after the first is settled whenever `src` is, so only the
+    /// first can miss.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        if src == dst {
-            return Some(vec![src]);
-        }
-        let row = self.row(dst);
         let mut out = vec![src];
         let mut cur = src;
         while cur != dst {
-            cur = hop(row, cur)?;
+            cur = self.next_hop(cur, dst)?;
             out.push(cur);
-            if out.len() > row.len() {
+            if out.len() > self.node_count() {
                 unreachable!("routing loop from {src:?} to {dst:?}");
             }
         }
         Some(out)
     }
-}
-
-/// The next hop of `src` in one destination's row.
-#[inline]
-fn hop(row: &[u32], src: NodeId) -> Option<NodeId> {
-    let v = row[src.index()];
-    (v != NONE).then_some(NodeId(v))
 }
 
 #[cfg(test)]
@@ -178,6 +247,99 @@ mod tests {
             RoutingTables::compute(&t).resident_bytes(),
             t.node_count() * t.node_count() * std::mem::size_of::<u32>()
         );
+    }
+
+    #[test]
+    fn one_source_builds_one_partial_row_per_destination() {
+        let t = crate::topology::regular::grid(4, 4, LinkWeight::new(1, 1));
+        let rt = RoutingTables::on_demand(t.clone());
+        let src = NodeId(5);
+        for _ in 0..2 {
+            for dst in t.nodes() {
+                rt.next_hop(src, dst);
+                rt.route(src, dst).expect("connected");
+            }
+        }
+        let n = t.node_count() as u64;
+        assert_eq!(
+            rt.row_builds(),
+            RowBuilds {
+                partial: n,
+                full: 0
+            }
+        );
+    }
+
+    #[test]
+    fn one_destination_from_every_source_builds_at_most_twice() {
+        let t = crate::topology::regular::grid(4, 4, LinkWeight::new(1, 1));
+        let dst = NodeId(0);
+        // Nearest source first: its partial build stops early, and the
+        // farthest corner then completes the row.
+        let rt = RoutingTables::on_demand(t.clone());
+        for src in [NodeId(1), NodeId(15)].into_iter().chain(t.nodes()) {
+            rt.route(src, dst).expect("connected");
+        }
+        assert_eq!(
+            rt.row_builds(),
+            RowBuilds {
+                partial: 1,
+                full: 1
+            }
+        );
+        // Farthest source first: the partial build settles everything
+        // the other sources need.
+        let rt = RoutingTables::on_demand(t.clone());
+        for src in (0..t.node_count() as u32).rev().map(NodeId) {
+            rt.next_hop(src, dst);
+        }
+        assert_eq!(
+            rt.row_builds(),
+            RowBuilds {
+                partial: 1,
+                full: 0
+            }
+        );
+        assert_eq!(
+            RoutingTables::compute(&t).row_builds(),
+            RowBuilds {
+                partial: 0,
+                full: t.node_count() as u64
+            }
+        );
+    }
+
+    #[test]
+    fn partial_rows_stop_at_zero_delay_ties() {
+        // Every node of this graph is at delay 0 from every other, so
+        // the asking router settles while nodes it ties with are still
+        // unsettled; its answer must be the full run's anyway.
+        let mut b = TopologyBuilder::new(6);
+        for (a, c) in [(0, 4), (4, 3), (0, 1), (1, 3), (3, 2), (2, 5), (5, 0)] {
+            b.add_link(NodeId(a), NodeId(c), LinkWeight::new(0, 1));
+        }
+        let t = b.build();
+        let full = RoutingTables::compute(&t);
+        let mut stopped_early = 0;
+        for src in t.nodes() {
+            for dst in t.nodes() {
+                let rt = RoutingTables::on_demand(t.clone());
+                assert_eq!(rt.next_hop(src, dst), full.next_hop(src, dst));
+                assert_eq!(rt.route(src, dst), full.route(src, dst));
+                assert_eq!(
+                    rt.row_builds(),
+                    RowBuilds {
+                        partial: 1,
+                        full: 0
+                    }
+                );
+                let row = rt.rows[dst.index()].get().expect("row built");
+                if row.iter().any(|e| e.load(Ordering::Relaxed) == UNKNOWN) {
+                    stopped_early += 1;
+                }
+            }
+        }
+        assert!(stopped_early > 0, "no partial build stopped early");
     }
 
     #[test]

@@ -174,8 +174,10 @@ fn with_zero_delays(topo: &Topology, seed: u64) -> Topology {
 
 /// A prefilled table and an on-demand one queried pair by pair in a
 /// shuffled order give the same next hop and route for every pair, and
-/// every route realises the shortest delay. Checked on `topo` and again
-/// on a subtopology with about a quarter of the links cut.
+/// every route realises the shortest delay. The on-demand table builds
+/// each row once partially and at most once more in full. Checked on
+/// `topo` and again on a subtopology with about a quarter of the links
+/// cut.
 fn assert_fill_policy_invisible(topo: &Topology, seed: u64) -> Result<(), TestCaseError> {
     let mut rng = rng_for("prop-route-cut", seed);
     let cut = topo.subtopology(|_| true, |_, _| !rng.gen_bool(0.25));
@@ -189,14 +191,22 @@ fn assert_fill_policy_invisible(topo: &Topology, seed: u64) -> Result<(), TestCa
             .flat_map(|src| t.nodes().map(move |dst| (src, dst)))
             .collect();
         pairs.shuffle(&mut rng_for("prop-route-order", seed));
+        let mut builds_per_row = vec![0u64; t.node_count()];
         for (src, dst) in pairs {
+            let before = on_demand.row_builds();
             prop_assert_eq!(on_demand.next_hop(src, dst), prefilled.next_hop(src, dst));
             let route = on_demand.route(src, dst);
             prop_assert_eq!(&route, &prefilled.route(src, dst));
             let delay = route.map(|r| t.path_weight(&r).expect("valid path").delay);
             prop_assert_eq!(delay, ap.unicast_delay(src, dst));
+            let after = on_demand.row_builds();
+            builds_per_row[dst.index()] +=
+                after.partial + after.full - before.partial - before.full;
         }
         prop_assert_eq!(on_demand.resident_bytes(), prefilled.resident_bytes());
+        // Each row: one partial build, then at most one completion.
+        prop_assert!(builds_per_row.iter().all(|&b| (1..=2).contains(&b)));
+        prop_assert_eq!(on_demand.row_builds().partial, t.node_count() as u64);
     }
     Ok(())
 }

@@ -105,14 +105,16 @@ fn fault_event_kind(fault: &FaultEvent) -> TeleKind {
 impl<R: Router> Engine<R> {
     /// Build an engine; `make` constructs the protocol state for each
     /// router (it receives the topology and unicast tables so protocols
-    /// can precompute). The factory is retained: a
+    /// can precompute). No route is computed here: each unicast row is
+    /// built when a route toward its destination is first asked for
+    /// ([`RoutingTables::on_demand`]). The factory is retained: a
     /// [`FaultEvent::RouterCrash`] wipes the node's state and a later
     /// recovery rebuilds it through the same factory.
     pub fn new(
         topo: Topology,
         mut make: impl FnMut(NodeId, &Topology, &RoutingTables) -> R + Send + 'static,
     ) -> Self {
-        let routes = RoutingTables::compute(&topo);
+        let routes = RoutingTables::on_demand(topo.clone());
         let routers = topo.nodes().map(|v| make(v, &topo, &routes)).collect();
         let n = topo.node_count();
         Engine {

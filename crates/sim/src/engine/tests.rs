@@ -6,7 +6,7 @@ use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::packet::{GroupId, Packet, PacketClass};
 use scmp_net::graph::LinkWeight;
 use scmp_net::topology::regular::line;
-use scmp_net::{NodeId, RoutingTables};
+use scmp_net::{NodeId, RoutingTables, RowBuilds};
 
 /// A toy protocol: floods data to all neighbours except the one it
 /// came from; delivers locally everywhere; answers a Join app event
@@ -779,4 +779,47 @@ fn link_flaps_leave_routes_unmaterialised_until_queried() {
     assert_eq!(seen.expect, Some(long_way));
     assert_eq!(seen.route, seen.expect);
     assert_eq!(e.stats().control_hops, 5);
+}
+
+#[test]
+fn construction_computes_no_route() {
+    /// Resident route bytes and row builds, before and after one
+    /// unicast.
+    type Seen = (usize, RowBuilds);
+    #[derive(Default)]
+    struct Probe {
+        seen: Vec<Seen>,
+    }
+    #[derive(Clone, Debug)]
+    struct M;
+    impl Router for Probe {
+        type Msg = M;
+        fn on_packet(&mut self, _: NodeId, _: Packet<M>, _: &mut Ctx<'_, M>) {}
+        fn on_app(&mut self, _: AppEvent, ctx: &mut Ctx<'_, M>) {
+            let probe =
+                |ctx: &Ctx<'_, M>| (ctx.routes().resident_bytes(), ctx.routes().row_builds());
+            self.seen.push(probe(ctx));
+            ctx.unicast(NodeId(3), Packet::control(GroupId(0), M));
+            self.seen.push(probe(ctx));
+        }
+    }
+    let n = 6;
+    let topo = scmp_net::topology::regular::ring(n, LinkWeight::new(1, 1));
+    let mut e: Engine<Probe> = Engine::new(topo, |_, _, routes| {
+        assert_eq!(routes.resident_bytes(), 0, "the factory sees no row");
+        Probe::default()
+    });
+    e.schedule_app(0, NodeId(0), AppEvent::Join(GroupId(0)));
+    e.run_to_quiescence();
+    let row_bytes = n * std::mem::size_of::<u32>();
+    // The unicast 0 -> 3 builds the row toward 3 only as far as node 0.
+    let one_partial = RowBuilds {
+        partial: 1,
+        full: 0,
+    };
+    assert_eq!(
+        e.router(NodeId(0)).seen,
+        vec![(0, RowBuilds::default()), (row_bytes, one_partial)]
+    );
+    assert_eq!(e.stats().control_hops, 3);
 }

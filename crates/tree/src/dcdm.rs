@@ -18,7 +18,7 @@
 //!   a branching router is reached.
 
 use crate::tree::MulticastTree;
-use scmp_net::{Metric, NodeId, PathProvider, Topology};
+use scmp_net::{LinkWeight, Metric, NodeId, PathProvider, Topology};
 use std::collections::BTreeSet;
 
 /// The delay bound regime for DCDM.
@@ -142,6 +142,15 @@ impl<'a> Dcdm<'a> {
 
     /// Join member `s`, returning what changed.
     pub fn join(&mut self, s: NodeId) -> JoinOutcome {
+        self.join_via(s, Dcdm::graft_path)
+    }
+
+    /// [`Dcdm::join`] with the graft path chosen by `graft_path`.
+    fn join_via(
+        &mut self,
+        s: NodeId,
+        graft_path: fn(&Self, NodeId) -> (Vec<NodeId>, bool),
+    ) -> JoinOutcome {
         let _span = scmp_telemetry::TimedScope::new(scmp_telemetry::Span::DcdmBuild);
         if self.tree.contains(s) {
             // Already a forwarder (or the root itself): just mark it.
@@ -154,48 +163,54 @@ impl<'a> Dcdm<'a> {
                 violated_bound: false,
             };
         }
-        let root = self.tree.root();
-        let ul = self
-            .paths
-            .unicast_delay(s, root)
-            .expect("topology is connected");
-        let (limit, force_shortest) = match self.bound {
-            DelayBound::Dynamic => {
-                let l = self.tree.tree_delay(self.topo);
-                if ul > l {
-                    (ul, true)
-                } else {
-                    (l, false)
-                }
-            }
-            DelayBound::Fixed(b) => (b, false),
-        };
-
-        let (path_to_graft, violated) = if force_shortest {
-            (
-                self.paths.path(s, root, Metric::Delay).expect("connected"),
-                false,
-            )
-        } else {
-            match self.best_candidate(s, limit) {
-                Some(p) => (p, false),
-                None => (
-                    // No feasible graft under a fixed bound tighter than
-                    // ul(s): fall back to the best achievable delay.
-                    self.paths.path(s, root, Metric::Delay).expect("connected"),
-                    true,
-                ),
-            }
-        };
-
-        // path_to_graft runs s -> … -> graft; attach walking graft -> s.
-        let mut path = path_to_graft;
+        // The path runs s -> … -> graft; attach walking graft -> s.
+        let (mut path, violated) = graft_path(self, s);
         path.reverse();
         let mut outcome = self.attach_path(&path);
         outcome.violated_bound = violated;
         self.tree.add_member(s);
         debug_assert_eq!(self.tree.validate(Some(self.topo)), Ok(()));
         outcome
+    }
+
+    /// The path `s -> … -> graft` that off-tree `s` joins by, and
+    /// whether it violates a fixed bound.
+    ///
+    /// Under the dynamic bound a joiner whose `ul` exceeds the tree
+    /// delay takes its shortest-delay path to the root; otherwise the
+    /// cheapest feasible candidate wins, falling back to the
+    /// shortest-delay path (a violation) when none is feasible.
+    fn graft_path(&self, s: NodeId) -> (Vec<NodeId>, bool) {
+        let root = self.tree.root();
+        let ul = self
+            .paths
+            .unicast_delay(s, root)
+            .expect("topology is connected");
+        let shortest = || self.paths.path(s, root, Metric::Delay).expect("connected");
+        // `ml` along the multicast tree, shared by the tree delay and
+        // the candidate scoring.
+        let mut ml = ChainSums::new(self.topo.node_count(), root);
+        let limit = match self.bound {
+            DelayBound::Dynamic => {
+                let tree_delay = self
+                    .tree
+                    .members()
+                    .map(|m| ml.get(self.topo, m, |v| self.tree.parent(v)).delay)
+                    .max()
+                    .unwrap_or(0);
+                if ul > tree_delay {
+                    return (shortest(), false);
+                }
+                tree_delay
+            }
+            DelayBound::Fixed(b) => b,
+        };
+        match self.best_candidate(s, limit, &mut ml) {
+            Some(p) => (p, false),
+            // No feasible graft under a fixed bound tighter than ul(s):
+            // fall back to the best achievable delay.
+            None => (shortest(), true),
+        }
     }
 
     /// Member `s` leaves: unmark and prune its branch. Returns the pruned
@@ -212,35 +227,36 @@ impl<'a> Dcdm<'a> {
 
     /// Evaluate the `2m` candidate paths and return the cheapest feasible
     /// one (as a path `s -> … -> graft`), or `None` if none satisfies
-    /// `ml(s) ≤ limit`.
+    /// `ml(s) ≤ limit`. `ml` holds the multicast delays along the tree.
     ///
     /// Ties are broken by (cost, resulting delay, graft id) so the result
-    /// is deterministic.
-    fn best_candidate(&self, s: NodeId, limit: u64) -> Option<Vec<NodeId>> {
-        let mut best: Option<(u64, u64, NodeId, Vec<NodeId>)> = None;
+    /// is deterministic. Each candidate family's source tree is fetched
+    /// once; a candidate is scored from (cost, delay) sums memoised
+    /// along that tree's predecessor chains, and only the winning path
+    /// is materialised.
+    fn best_candidate(&self, s: NodeId, limit: u64, ml: &mut ChainSums) -> Option<Vec<NodeId>> {
+        let n = self.topo.node_count();
+        let mut families: Vec<_> = self
+            .candidate_metrics
+            .iter()
+            .map(|&metric| (self.paths.tree(s, metric), ChainSums::new(n, s)))
+            .collect();
+        let mut best: Option<(u64, u64, NodeId, usize)> = None;
         for r in self.tree.on_tree_nodes() {
-            let ml_r = self
-                .tree
-                .multicast_delay(self.topo, r)
-                .expect("on-tree node");
-            for &metric in &self.candidate_metrics {
-                let p = self.paths.path(s, r, metric).expect("connected");
-                let w = self.topo.path_weight(&p).expect("valid path");
+            let ml_r = ml.get(self.topo, r, |v| self.tree.parent(v)).delay;
+            for (family, (tree, sums)) in families.iter_mut().enumerate() {
+                let w = sums.get(self.topo, r, |v| tree.predecessor(v));
                 let ml_s = ml_r + w.delay;
                 if ml_s > limit {
                     continue;
                 }
                 let key = (w.cost, ml_s, r);
-                let better = match &best {
-                    None => true,
-                    Some((bc, bd, br, _)) => key < (*bc, *bd, *br),
-                };
-                if better {
-                    best = Some((w.cost, ml_s, r, p));
+                if best.is_none_or(|(bc, bd, br, _)| key < (bc, bd, br)) {
+                    best = Some((w.cost, ml_s, r, family));
                 }
             }
         }
-        best.map(|(_, _, _, p)| p)
+        best.map(|(_, _, r, family)| families[family].0.path_to(r).expect("connected"))
     }
 
     /// Attach `path` (`graft -> … -> new member`) to the tree, performing
@@ -290,14 +306,114 @@ impl<'a> Dcdm<'a> {
     }
 }
 
+/// Link-weight sums from a root along parent pointers, memoised per
+/// node: `sum(v) = sum(parent(v)) + w(parent(v), v)`. Used for the
+/// multicast tree (`ml(v)`) and for a candidate source tree (the
+/// weight of the path `s -> … -> r`).
+struct ChainSums {
+    sums: Vec<Option<LinkWeight>>,
+    /// Nodes walked but not yet summed, deepest first.
+    stack: Vec<NodeId>,
+}
+
+impl ChainSums {
+    /// No sum known but the root's, which is zero.
+    fn new(n: usize, root: NodeId) -> Self {
+        let mut sums = vec![None; n];
+        sums[root.index()] = Some(LinkWeight::new(0, 0));
+        ChainSums {
+            sums,
+            stack: Vec::new(),
+        }
+    }
+
+    /// The sum at `v`, whose parent chain under `parent` reaches the
+    /// root.
+    fn get(
+        &mut self,
+        topo: &Topology,
+        v: NodeId,
+        parent: impl Fn(NodeId) -> Option<NodeId>,
+    ) -> LinkWeight {
+        let mut cur = v;
+        while self.sums[cur.index()].is_none() {
+            self.stack.push(cur);
+            cur = parent(cur).expect("connected");
+        }
+        let mut acc = self.sums[cur.index()].expect("known sum");
+        while let Some(u) = self.stack.pop() {
+            let w = topo.link(cur, u).expect("chain follows links");
+            acc = LinkWeight::new(acc.delay + w.delay, acc.cost + w.cost);
+            self.sums[u.index()] = Some(acc);
+            cur = u;
+        }
+        acc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
+    use scmp_net::rng::rng_for;
     use scmp_net::topology::examples::fig5;
-    use scmp_net::AllPairsPaths;
+    use scmp_net::topology::{gt_itm_flat, waxman, GtItmConfig, WaxmanConfig};
+    use scmp_net::{AllPairsPaths, OnDemandPaths};
+    use std::sync::Arc;
 
     fn setup(topo: &Topology) -> AllPairsPaths {
         AllPairsPaths::compute(topo)
+    }
+
+    /// The path-materialising scorer [`Dcdm::graft_path`] replaced, kept
+    /// as its oracle: one provider lookup, `path_to` and `path_weight`
+    /// walk per candidate, and `ml(r)` walked from the root per `r`.
+    fn graft_path_reference(d: &Dcdm<'_>, s: NodeId) -> (Vec<NodeId>, bool) {
+        let root = d.tree.root();
+        let ul = d
+            .paths
+            .unicast_delay(s, root)
+            .expect("topology is connected");
+        let (limit, force_shortest) = match d.bound {
+            DelayBound::Dynamic => {
+                let l = d.tree.tree_delay(d.topo);
+                if ul > l {
+                    (ul, true)
+                } else {
+                    (l, false)
+                }
+            }
+            DelayBound::Fixed(b) => (b, false),
+        };
+        let shortest = || d.paths.path(s, root, Metric::Delay).expect("connected");
+        if force_shortest {
+            return (shortest(), false);
+        }
+        let mut best: Option<(u64, u64, NodeId, Vec<NodeId>)> = None;
+        for r in d.tree.on_tree_nodes() {
+            let ml_r = d.tree.multicast_delay(d.topo, r).expect("on-tree node");
+            for &metric in &d.candidate_metrics {
+                let p = d.paths.path(s, r, metric).expect("connected");
+                let w = d.topo.path_weight(&p).expect("valid path");
+                let ml_s = ml_r + w.delay;
+                if ml_s > limit {
+                    continue;
+                }
+                let key = (w.cost, ml_s, r);
+                let better = match &best {
+                    None => true,
+                    Some((bc, bd, br, _)) => key < (*bc, *bd, *br),
+                };
+                if better {
+                    best = Some((w.cost, ml_s, r, p));
+                }
+            }
+        }
+        match best {
+            Some((_, _, _, p)) => (p, false),
+            None => (shortest(), true),
+        }
     }
 
     /// The complete Fig. 5 walkthrough: joins of g1, g2, g3 reproduce the
@@ -464,5 +580,91 @@ mod tests {
                                                        // larger-ul member arrives, so the final delay is bounded by the
                                                        // max unicast delay plus nothing.
         assert_eq!(d.tree().tree_delay(&topo), max_ul);
+    }
+
+    /// One random join/leave sequence driven through the memoised
+    /// scorer and through [`graft_path_reference`]: every outcome and
+    /// the final tree must agree.
+    fn assert_scorer_matches_reference(
+        topo: &Topology,
+        paths: &dyn PathProvider,
+        bound: DelayBound,
+        metrics: &[Metric],
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut rng = rng_for("dcdm-oracle", seed);
+        let n = topo.node_count() as u32;
+        let root = NodeId(rng.gen_range(0..n));
+        let mut fast = Dcdm::new(topo, paths, root, bound);
+        let mut oracle = Dcdm::new(topo, paths, root, bound);
+        fast.set_candidate_metrics(metrics);
+        oracle.set_candidate_metrics(metrics);
+        for _ in 0..3 * n {
+            let v = NodeId(rng.gen_range(0..n));
+            if oracle.tree().is_member(v) && rng.gen_bool(0.4) {
+                prop_assert_eq!(fast.leave(v), oracle.leave(v));
+            } else {
+                let expect = oracle.join_via(v, graft_path_reference);
+                prop_assert_eq!(fast.join(v), expect);
+            }
+        }
+        let (mut a, mut b) = (fast.tree().edges(), oracle.tree().edges());
+        a.sort();
+        b.sort();
+        prop_assert_eq!(a, b);
+        let members: Vec<NodeId> = fast.tree().members().collect();
+        prop_assert_eq!(members, oracle.tree().members().collect::<Vec<_>>());
+        Ok(())
+    }
+
+    /// Every bound regime, candidate family set and provider kind.
+    fn assert_scorer_matches_everywhere(topo: &Topology, seed: u64) -> Result<(), TestCaseError> {
+        let all_pairs = AllPairsPaths::compute(topo);
+        let on_demand = OnDemandPaths::with_capacity(Arc::new(topo.clone()), 1);
+        let ul_max = topo
+            .nodes()
+            .filter_map(|v| all_pairs.unicast_delay(NodeId(0), v))
+            .max()
+            .unwrap_or(0);
+        let bounds = [
+            DelayBound::Dynamic,
+            DelayBound::Fixed(ul_max / 2),
+            DelayBound::Fixed(ul_max * 2),
+        ];
+        let sets: [&[Metric]; 3] = [
+            &[Metric::Cost, Metric::Delay],
+            &[Metric::Cost],
+            &[Metric::Delay],
+        ];
+        for (i, bound) in bounds.into_iter().enumerate() {
+            for (j, metrics) in sets.iter().enumerate() {
+                let case = seed * 100 + (i * 10 + j) as u64;
+                assert_scorer_matches_reference(topo, &all_pairs, bound, metrics, case)?;
+                assert_scorer_matches_reference(topo, &on_demand, bound, metrics, case)?;
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn memoised_scorer_matches_reference_waxman(seed in 0u64..1000, n in 2usize..40) {
+            let cfg = WaxmanConfig { n, ..WaxmanConfig::default() };
+            let topo = waxman(&cfg, &mut rng_for("dcdm-oracle-waxman", seed));
+            assert_scorer_matches_everywhere(&topo, seed)?;
+        }
+
+        #[test]
+        fn memoised_scorer_matches_reference_gt_itm(
+            seed in 0u64..1000,
+            n in 2usize..40,
+            deg in 2u32..6,
+        ) {
+            let cfg = GtItmConfig { n, average_degree: deg as f64, grid: 1000 };
+            let topo = gt_itm_flat(&cfg, &mut rng_for("dcdm-oracle-gt-itm", seed));
+            assert_scorer_matches_everywhere(&topo, seed)?;
+        }
     }
 }

@@ -118,6 +118,13 @@ regress *args:
 runbench out=".bench_out/latest" base=".bench_out/base" seed="1" seconds="20":
     ./scripts/runbench.sh {{out}} {{base}} {{seed}} {{seconds}}
 
+# Before/after on one workload: `rev` (built from a `git archive` copy
+# under its own target dir) against the working tree, in `pairs`
+# alternating-order pairs. Prints each side's median and quartiles and
+# the working tree's win count; fails if a simulated metric differs.
+runbench-ab rev workload pairs="10" seconds="20":
+    ./scripts/runbench-ab.sh {{rev}} {{workload}} {{pairs}} {{seconds}}
+
 # Reconstruct causal packet journeys from a committed golden trace:
 #   just journey 1        every journey in group 1
 #   just journey 1:3      the hop-by-hop journey of g1 payload #3
