@@ -38,7 +38,7 @@
 //! nothing twice.
 
 use crate::scenario_file::run_batch;
-use scmp_telemetry::{EventKind, Trace};
+use scmp_telemetry::{Event, EventKind, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -516,6 +516,25 @@ pub fn run(seeds: u64, jobs: usize) -> ChaosReport {
     }
 }
 
+/// Lag of the last post-heal `Reconcile` behind [`HEAL_AT`]. A cell
+/// that stranded no member scores 0; one that stranded members but
+/// never reconciled after the heal is an error naming its seed, never a
+/// perfect 0.
+fn reconverge_ticks(seed: u64, members_stranded: u32, events: &[Event]) -> Result<u64, String> {
+    let last = events
+        .iter()
+        .filter(|ev| ev.time >= HEAL_AT && matches!(ev.kind, EventKind::Reconcile { .. }))
+        .map(|ev| ev.time - HEAL_AT)
+        .max();
+    match last {
+        Some(ticks) => Ok(ticks),
+        None if members_stranded == 0 => Ok(0),
+        None => Err(format!(
+            "partition seed={seed}: {members_stranded} members stranded but no reconcile after the heal"
+        )),
+    }
+}
+
 /// The partition-and-heal series alone: one cell per seed, every
 /// per-cell invariant (no duplicates, single root, bounded
 /// reconvergence, post-heal delivery floor) asserted. `run` embeds
@@ -544,13 +563,8 @@ pub fn partition_series(
             })
             .max()
             .unwrap_or(0);
-        let reconverge_ticks = t
-            .events()
-            .iter()
-            .filter(|ev| ev.time >= HEAL_AT && matches!(ev.kind, EventKind::Reconcile { .. }))
-            .map(|ev| ev.time - HEAL_AT)
-            .max()
-            .unwrap_or(0);
+        let reconverge_ticks =
+            reconverge_ticks(seed, members_stranded, t.events()).unwrap_or_else(|e| panic!("{e}"));
         let post_tags = (PRE_SENDS + MID_SENDS + 1)..=(PRE_SENDS + MID_SENDS + POST_SENDS);
         let post_received: usize = r
             .deliveries
@@ -627,6 +641,39 @@ pub fn partition_series(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ev(time: u64, kind: EventKind) -> Event {
+        Event {
+            time,
+            node: 10,
+            kind,
+        }
+    }
+
+    #[test]
+    fn stranded_members_without_a_post_heal_reconcile_are_an_error() {
+        let reconcile = EventKind::Reconcile {
+            group: 1,
+            readopted: 2,
+            epoch: 1,
+        };
+        let cut = ev(
+            PARTITION_AT,
+            EventKind::Partition {
+                stranded: 3,
+                members: 2,
+            },
+        );
+        // A reconcile before the heal does not count.
+        let stranded = [cut, ev(HEAL_AT - 1, reconcile)];
+        let err = reconverge_ticks(7, 2, &stranded).unwrap_err();
+        assert!(err.contains("seed=7"), "error names the seed: {err}");
+        // Nothing stranded, nothing to reconcile: a genuine 0.
+        assert_eq!(reconverge_ticks(7, 0, &[]), Ok(0));
+        // The lag is the last post-heal reconcile's.
+        let healed = [cut, ev(HEAL_AT, reconcile), ev(HEAL_AT + 40, reconcile)];
+        assert_eq!(reconverge_ticks(7, 2, &healed), Ok(40));
+    }
 
     #[test]
     fn sweep_holds_invariants_and_is_jobs_invariant() {

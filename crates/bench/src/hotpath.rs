@@ -19,9 +19,12 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 /// Dedup-flood: forward every unseen payload to all neighbours except
-/// the one it came from.
+/// the one it came from. The neighbour list is captured once at
+/// construction (link liveness lives in the engine's transport, not in
+/// its topology, so the list never changes) and the hot path allocates
+/// nothing per packet.
 struct Flood {
-    me: NodeId,
+    neighbors: Vec<NodeId>,
     seen: HashSet<u64>,
 }
 
@@ -37,9 +40,7 @@ impl Router for Flood {
             return;
         }
         ctx.deliver_local(&pkt);
-        let me = self.me;
-        let neighbors: Vec<NodeId> = ctx.topo().neighbors(me).iter().map(|e| e.to).collect();
-        for n in neighbors {
+        for &n in &self.neighbors {
             if n != from {
                 ctx.send(n, pkt.clone());
             }
@@ -51,9 +52,7 @@ impl Router for Flood {
             self.seen.insert(tag);
             let pkt = Packet::data(group, tag, ctx.now(), Payload);
             ctx.deliver_local(&pkt);
-            let me = self.me;
-            let neighbors: Vec<NodeId> = ctx.topo().neighbors(me).iter().map(|e| e.to).collect();
-            for n in neighbors {
+            for &n in &self.neighbors {
                 ctx.send(n, pkt.clone());
             }
         }
@@ -124,8 +123,8 @@ pub struct HotpathResult {
 
 fn build_engine() -> Engine<Flood> {
     let topo = gt_itm_flat(&GtItmConfig::paper(5.0), &mut rng_for("engine-hotpath", 0));
-    Engine::new(topo, |me, _, _| Flood {
-        me,
+    Engine::new(topo, |me, topo, _| Flood {
+        neighbors: topo.neighbors(me).iter().map(|e| e.to).collect(),
         seen: HashSet::new(),
     })
 }

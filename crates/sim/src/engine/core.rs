@@ -1,18 +1,17 @@
 //! The simulation engine proper: the event loop, fault application,
-//! IGP reconvergence and tracing.
+//! IGP reconvergence and the telemetry events that record them.
 
 use super::queue::{EventKind, EventQueue};
 use super::telemetry::Telemetry;
 use super::transport::{CapacityModel, Transport};
-use super::{AppEvent, Ctx, Router, SimTime, TraceKind, TraceRecord};
+use super::{AppEvent, Ctx, Router, SimTime};
 use crate::channel::ChannelModel;
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::packet::{GroupId, PacketClass};
+use crate::packet::PacketClass;
 use crate::stats::SimStats;
 use scmp_net::{NodeId, RoutingTables, Topology};
 use scmp_telemetry::{
-    DropReason, Event, EventKind as TeleKind, GaugeSample, RingSink, Sink, Span, TimedScope,
-    TrafficClass,
+    DropReason, Event, EventKind as TeleKind, GaugeSample, Sink, Span, TimedScope, TrafficClass,
 };
 
 /// The router factory signature: constructs one node's protocol state.
@@ -37,59 +36,6 @@ pub struct Engine<R: Router> {
     events_processed: u64,
     peak_queue: usize,
     tele: Telemetry,
-}
-
-/// Map a structured telemetry event back onto the legacy trace
-/// vocabulary. Kinds the old trace never carried (local deliveries,
-/// non-legacy drops, repairs, gauges) map to `None`, which keeps
-/// pre-telemetry golden traces byte-identical.
-fn legacy_record(ev: &Event) -> Option<TraceRecord> {
-    let node = NodeId(ev.node);
-    let kind = match ev.kind {
-        TeleKind::Join { group } => TraceKind::App(AppEvent::Join(GroupId(group))),
-        TeleKind::Leave { group } => TraceKind::App(AppEvent::Leave(GroupId(group))),
-        TeleKind::Send { group, tag } => TraceKind::App(AppEvent::Send {
-            group: GroupId(group),
-            tag,
-        }),
-        TeleKind::Deliver {
-            from,
-            class,
-            group,
-            tag,
-            ..
-        } => TraceKind::Deliver {
-            from: NodeId(from),
-            class: match class {
-                TrafficClass::Data => PacketClass::Data,
-                TrafficClass::Control => PacketClass::Control,
-            },
-            group: GroupId(group),
-            tag,
-        },
-        TeleKind::Timer { token } => TraceKind::Timer { token },
-        TeleKind::LinkDown { a, b } => TraceKind::Fault(FaultEvent::LinkDown {
-            a: NodeId(a),
-            b: NodeId(b),
-        }),
-        TeleKind::LinkUp { a, b } => TraceKind::Fault(FaultEvent::LinkUp {
-            a: NodeId(a),
-            b: NodeId(b),
-        }),
-        TeleKind::RouterCrash => TraceKind::Fault(FaultEvent::RouterCrash { node }),
-        TeleKind::RouterRecover => TraceKind::Fault(FaultEvent::RouterRecover { node }),
-        TeleKind::Drop {
-            reason: DropReason::NonNeighbour,
-            to: Some(to),
-            ..
-        } => TraceKind::NonNeighbourDrop { to: NodeId(to) },
-        _ => return None,
-    };
-    Some(TraceRecord {
-        time: ev.time,
-        node,
-        kind,
-    })
 }
 
 /// The structured form of a scheduled fault.
@@ -145,15 +91,6 @@ impl<R: Router> Engine<R> {
         self.transport.set_channel(model);
     }
 
-    /// Enable event tracing into a bounded in-memory ring (disabled by
-    /// default). This is the compatibility shim over [`Engine::set_sink`]:
-    /// it installs a [`RingSink`] large enough for every debugging-scale
-    /// scenario, and [`Engine::trace`] projects its events back onto the
-    /// legacy [`TraceRecord`] vocabulary.
-    pub fn enable_trace(&mut self) {
-        self.set_sink(Box::new(RingSink::new(1 << 20)));
-    }
-
     /// Install a telemetry sink. The sink's enable flag is cached, so a
     /// [`scmp_telemetry::NullSink`] keeps the hot path at one branch per
     /// would-be event.
@@ -172,12 +109,6 @@ impl<R: Router> Engine<R> {
         self.tele.gauges()
     }
 
-    /// The tree-health samples recorded so far (empty unless a sink is
-    /// enabled — health probes are gated on telemetry being on).
-    pub fn health_events(&self) -> &[Event] {
-        self.tele.health()
-    }
-
     /// The sink's in-memory event snapshot (empty for the default
     /// [`scmp_telemetry::NullSink`] and for streaming sinks, whose
     /// events already left the process).
@@ -188,16 +119,6 @@ impl<R: Router> Engine<R> {
     /// Flush the telemetry sink (streaming sinks buffer).
     pub fn flush_telemetry(&mut self) {
         self.tele.flush();
-    }
-
-    /// The recorded trace in the legacy vocabulary (empty when tracing
-    /// is disabled). Telemetry-only event kinds are omitted.
-    pub fn trace(&self) -> Vec<TraceRecord> {
-        self.tele
-            .snapshot_events()
-            .iter()
-            .filter_map(legacy_record)
-            .collect()
     }
 
     /// Current simulation time.

@@ -221,8 +221,8 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
     /// Record a per-group tree-health sample (taken by the m-router
     /// after a tree build/repair): member count, max hop depth, total
     /// edge cost, mean delay stretch vs unicast (×1000), and
-    /// inter-member delay variation (max − min, ticks). Stored in the
-    /// engine's health registry and emitted as a telemetry event.
+    /// inter-member delay variation (max − min, ticks). Emitted as a
+    /// telemetry event.
     #[allow(clippy::too_many_arguments)]
     pub fn record_tree_health(
         &mut self,
@@ -234,19 +234,21 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
         stretch_milli: u64,
         delay_var: u64,
     ) {
-        self.tele.record_health(
-            self.now,
-            self.node,
-            TeleKind::TreeHealth {
-                group: group.0,
-                trigger,
-                members,
-                depth,
-                cost,
-                stretch_milli,
-                delay_var,
-            },
-        );
+        if self.tele.on() {
+            self.tele.emit(
+                self.now,
+                self.node,
+                TeleKind::TreeHealth {
+                    group: group.0,
+                    trigger,
+                    members,
+                    depth,
+                    cost,
+                    stretch_milli,
+                    delay_var,
+                },
+            );
+        }
     }
 
     /// Record a standby promotion to m-router (real or spurious — the

@@ -8,14 +8,16 @@
 //! * [`ctx`] — [`Ctx`], the per-dispatch handle protocols use to send,
 //!   unicast, arm timers and record deliveries.
 //! * [`core`] — [`Engine`] itself: event loop, fault application, IGP
-//!   reconvergence, tracing.
+//!   reconvergence.
 //! * [`runner`] — [`EngineRunner`], the object-safe erasure of
 //!   `Engine<R>` used by the protocol registry and scenario drivers.
 //! * `telemetry` — the engine's seam to `scmp-telemetry`: the owned
 //!   event [`scmp_telemetry::Sink`] plus the periodic gauge sampler.
 //!
 //! This module keeps the shared vocabulary: simulation time, the
-//! [`Router`] trait, application events and trace records.
+//! [`Router`] trait and application events. What happened during a run
+//! is recorded only as the telemetry [`scmp_telemetry::Event`] stream
+//! the installed sink receives.
 
 pub mod core;
 pub mod ctx;
@@ -32,56 +34,11 @@ pub use ctx::Ctx;
 pub use runner::EngineRunner;
 pub use transport::{CapacityModel, LinkSlot, Transport};
 
-use crate::fault::FaultEvent;
-use crate::packet::PacketClass;
 use scmp_net::NodeId;
 use std::fmt;
 
 /// Simulation time in abstract ticks (the same unit as link delays).
 pub type SimTime = u64;
-
-/// One record of the (optional) event trace — enough to reconstruct the
-/// protocol conversation without holding message bodies.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// When the event fired.
-    pub time: SimTime,
-    /// The router that handled it.
-    pub node: NodeId,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// Kind of traced event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A packet was handed to the router.
-    Deliver {
-        /// Sender (neighbour or tunnel tail).
-        from: NodeId,
-        /// Overhead class.
-        class: PacketClass,
-        /// Group the packet belongs to.
-        group: crate::packet::GroupId,
-        /// Data tag (0 for control).
-        tag: u64,
-    },
-    /// A timer fired.
-    Timer {
-        /// Protocol-defined token.
-        token: u64,
-    },
-    /// A host/subnet event was injected.
-    App(AppEvent),
-    /// A scheduled fault fired (link cut/restore, router crash/recover).
-    Fault(FaultEvent),
-    /// A send to a router that is not (or no longer) a neighbour was
-    /// dropped — a repair scan racing a topology change.
-    NonNeighbourDrop {
-        /// The intended next hop.
-        to: NodeId,
-    },
-}
 
 /// Scenario-injected application events: what the attached hosts/subnets
 /// ask their designated router to do.

@@ -20,7 +20,6 @@ pub(super) struct Telemetry {
     gauge_interval: Option<SimTime>,
     next_sample: SimTime,
     gauges: Vec<GaugeSample>,
-    health: Vec<Event>,
 }
 
 impl Telemetry {
@@ -32,7 +31,6 @@ impl Telemetry {
             gauge_interval: None,
             next_sample: 0,
             gauges: Vec::new(),
-            health: Vec::new(),
         }
     }
 
@@ -102,27 +100,6 @@ impl Telemetry {
     /// The gauge series sampled so far.
     pub(super) fn gauges(&self) -> &[GaugeSample] {
         &self.gauges
-    }
-
-    /// Record one tree-health sample: kept in the in-memory registry and
-    /// forwarded to the sink when enabled. Callers gate the (non-trivial)
-    /// metric computation on [`Telemetry::on`], so disabled runs never
-    /// reach here.
-    pub(super) fn record_health(&mut self, time: SimTime, node: NodeId, kind: EventKind) {
-        let ev = Event {
-            time,
-            node: node.0,
-            kind,
-        };
-        if self.enabled {
-            self.sink.record(&ev);
-        }
-        self.health.push(ev);
-    }
-
-    /// The tree-health samples recorded so far.
-    pub(super) fn health(&self) -> &[Event] {
-        &self.health
     }
 
     /// Flush the sink (streaming sinks buffer).

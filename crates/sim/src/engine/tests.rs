@@ -1,12 +1,14 @@
 //! Engine-level behaviour tests: flooding, unicast, faults, capacity,
-//! tracing and determinism, driven through the public API.
+//! telemetry events and determinism, driven through the public API.
 
 use super::*;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
-use crate::packet::{GroupId, Packet, PacketClass};
+use crate::packet::{GroupId, Packet};
+use crate::{RingSink, TelemetryEventKind};
 use scmp_net::graph::LinkWeight;
 use scmp_net::topology::regular::line;
 use scmp_net::{NodeId, RoutingTables, RowBuilds};
+use scmp_telemetry::{encode_events, DropReason, JsonlSink, SharedBuf, TrafficClass};
 
 /// A toy protocol: floods data to all neighbours except the one it
 /// came from; delivers locally everywhere; answers a Join app event
@@ -243,15 +245,19 @@ fn send_to_non_neighbor_asserts_in_debug() {
     }
     let topo = line(4, LinkWeight::new(1, 1));
     let mut e: Engine<Bad> = Engine::new(topo, |_, _, _| Bad);
-    e.enable_trace();
+    e.set_sink(Box::new(RingSink::new(1 << 20)));
     e.schedule_app(0, NodeId(0), AppEvent::Leave(GroupId(0)));
     e.run_to_quiescence();
     // Release builds reach here: the bad send is a counted, traced drop.
     assert_eq!(e.stats().drops, 1);
-    assert!(e
-        .trace()
-        .iter()
-        .any(|r| r.kind == TraceKind::NonNeighbourDrop { to: NodeId(3) }));
+    assert!(e.events().iter().any(|ev| matches!(
+        ev.kind,
+        TelemetryEventKind::Drop {
+            reason: DropReason::NonNeighbour,
+            to: Some(3),
+            ..
+        }
+    )));
 }
 
 #[test]
@@ -356,7 +362,7 @@ fn no_capacity_means_no_queueing() {
 #[test]
 fn trace_records_dispatches() {
     let mut e = engine(3);
-    e.enable_trace();
+    e.set_sink(Box::new(RingSink::new(1 << 20)));
     e.schedule_app(
         5,
         NodeId(0),
@@ -366,20 +372,20 @@ fn trace_records_dispatches() {
         },
     );
     e.run_to_quiescence();
-    let trace = e.trace();
-    assert!(!trace.is_empty());
-    assert_eq!(trace[0].time, 5);
-    assert_eq!(trace[0].node, NodeId(0));
+    let events = e.events();
+    assert!(!events.is_empty());
+    assert_eq!(events[0].time, 5);
+    assert_eq!(events[0].node, 0);
     assert!(matches!(
-        trace[0].kind,
-        TraceKind::App(AppEvent::Send { .. })
+        events[0].kind,
+        TelemetryEventKind::Send { group: 2, tag: 7 }
     ));
     // Flood deliveries appear with class/group/tag metadata.
-    assert!(trace.iter().any(|r| matches!(
-        r.kind,
-        TraceKind::Deliver {
-            class: PacketClass::Data,
-            group: GroupId(2),
+    assert!(events.iter().any(|ev| matches!(
+        ev.kind,
+        TelemetryEventKind::Deliver {
+            class: TrafficClass::Data,
+            group: 2,
             tag: 7,
             ..
         }
@@ -398,7 +404,8 @@ fn trace_disabled_by_default() {
         },
     );
     e.run_to_quiescence();
-    assert!(e.trace().is_empty());
+    // The default sink is a `NullSink`: nothing is recorded.
+    assert!(e.events().is_empty());
 }
 
 #[test]
@@ -595,7 +602,7 @@ fn fault_plan_schedules_and_traces() {
         .at(50, FaultKind::LinkDown { a: 1, b: 2 })
         .at(150, FaultKind::LinkUp { a: 1, b: 2 });
     let mut e = engine(3);
-    e.enable_trace();
+    e.set_sink(Box::new(RingSink::new(1 << 20)));
     e.schedule_fault_plan(&plan);
     e.schedule_app(
         100,
@@ -608,24 +615,33 @@ fn fault_plan_schedules_and_traces() {
     e.run_to_quiescence();
     assert_eq!(e.stats().delivery_count(GroupId(1), 1, NodeId(2)), 0);
     let faults: Vec<_> = e
-        .trace()
-        .iter()
-        .filter_map(|r| match r.kind {
-            TraceKind::Fault(f) => Some((r.time, f)),
-            _ => None,
+        .events()
+        .into_iter()
+        .filter(|ev| {
+            matches!(
+                ev.kind,
+                TelemetryEventKind::LinkDown { .. } | TelemetryEventKind::LinkUp { .. }
+            )
         })
         .collect();
     assert_eq!(faults.len(), 2);
-    assert_eq!(faults[0].0, 50);
-    assert!(matches!(faults[0].1, FaultEvent::LinkDown { .. }));
-    assert_eq!(faults[1].0, 150);
+    assert_eq!(faults[0].time, 50);
+    assert!(matches!(
+        faults[0].kind,
+        TelemetryEventKind::LinkDown { a: 1, b: 2 }
+    ));
+    assert_eq!(faults[1].time, 150);
+    assert!(matches!(
+        faults[1].kind,
+        TelemetryEventKind::LinkUp { a: 1, b: 2 }
+    ));
 }
 
 #[test]
 fn fault_runs_are_deterministic() {
     let run = || {
         let mut e = engine(5);
-        e.enable_trace();
+        e.set_sink(Box::new(RingSink::new(1 << 20)));
         let plan = FaultPlan::new()
             .at(40, FaultKind::RouterCrash { node: 2 })
             .at(90, FaultKind::RouterRecover { node: 2 })
@@ -643,12 +659,7 @@ fn fault_runs_are_deterministic() {
             );
         }
         e.run_to_quiescence();
-        let trace: Vec<String> = e
-            .trace()
-            .iter()
-            .map(|r| format!("{} n{} {:?}", r.time, r.node.0, r.kind))
-            .collect();
-        (trace, e.stats().clone())
+        (encode_events(&e.events()), e.stats().clone())
     };
     let (t1, s1) = run();
     let (t2, s2) = run();
@@ -708,7 +719,12 @@ fn surviving_topology_reflects_faults() {
 fn erased_runner_drives_like_the_concrete_engine() {
     let mut concrete = engine(5);
     let mut erased: Box<dyn EngineRunner> = Box::new(engine(5));
-    for e in [&mut concrete as &mut dyn EngineRunner, erased.as_mut()] {
+    let bufs = [SharedBuf::new(), SharedBuf::new()];
+    for (e, buf) in [&mut concrete as &mut dyn EngineRunner, erased.as_mut()]
+        .into_iter()
+        .zip(&bufs)
+    {
+        e.set_sink(Box::new(JsonlSink::new(buf.clone())));
         e.schedule_app(
             0,
             NodeId(0),
@@ -718,10 +734,17 @@ fn erased_runner_drives_like_the_concrete_engine() {
             },
         );
         e.run_to_quiescence();
+        // The JSONL sink batches: nothing reaches the writer until the
+        // flush goes through the vtable.
+        assert!(buf.is_empty());
+        e.flush_telemetry();
     }
     assert_eq!(concrete.stats().data_overhead, erased.stats().data_overhead);
     assert_eq!(concrete.stats().distinct_deliveries(), 5);
     assert_eq!(erased.stats().distinct_deliveries(), 5);
+    let [a, b] = bufs.map(|b| b.take_string());
+    assert!(a.lines().count() > 5, "the erased sink received the run");
+    assert_eq!(a, b);
 }
 
 #[test]

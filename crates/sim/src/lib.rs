@@ -29,6 +29,10 @@
 //! through [`Ctx`] (`engine::ctx`), and the event loop itself is
 //! `engine::core`. [`EngineRunner`] erases `Engine<R>` so heterogeneous
 //! scenario drivers can hold any protocol's engine behind one vtable.
+//!
+//! What happened during a run is recorded once, as the telemetry
+//! [`TelemetryEvent`] stream handed to the installed [`Sink`]; install
+//! a [`RingSink`] and read [`Engine::events`] to inspect it.
 
 pub mod channel;
 pub mod engine;
@@ -38,8 +42,7 @@ pub mod stats;
 
 pub use channel::{ChannelLinkSpec, ChannelModel, ChannelOutcome, ChannelPlan, ChannelSpec};
 pub use engine::{
-    AppEvent, CapacityModel, Ctx, Engine, EngineRunner, LinkSlot, Router, SimTime, TraceKind,
-    TraceRecord, Transport,
+    AppEvent, CapacityModel, Ctx, Engine, EngineRunner, LinkSlot, Router, SimTime, Transport,
 };
 pub use fault::{partition_cut, FaultEvent, FaultKind, FaultPlan, FaultSpec, PartitionCut};
 pub use packet::{GroupId, Packet, PacketClass};

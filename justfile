@@ -19,7 +19,7 @@ build:
 # Style gate: formatting and clippy, warnings as errors.
 lint:
     cargo fmt --check
-    cargo clippy --workspace -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
 
 # Fault-injection demo: link cuts + router crash against Fig. 5.
 failstorm:
@@ -136,10 +136,10 @@ journey spec="1" trace="tests/golden/failstorm_events.jsonl":
 telemetry-tour:
     cargo run --example telemetry_tour
 
-# Refresh the committed golden traces (legacy text + structured JSONL)
-# after an intentional protocol change; review the diff like code.
+# Refresh the committed golden traces (structured JSONL and journey
+# snapshots) after an intentional protocol change; review the diff like
+# code.
 golden-update:
-    UPDATE_GOLDEN=1 cargo test -p scmp-integration --test golden_trace
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test telemetry
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test lossy_control_plane
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test journey_golden

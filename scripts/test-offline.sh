@@ -6,7 +6,7 @@ set -eu
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
 # Re-run the determinism guards with the sweep executor forced onto a

@@ -1,9 +1,9 @@
 //! Determinism regression for the event queue: two runs of the same
-//! seeded failstorm must produce byte-identical traces.
+//! seeded failstorm must produce byte-identical JSONL event streams.
 //!
-//! The golden-trace test pins one scenario's exact output; this one
-//! guards the ordering contract itself — `(time, seq)` — under the
-//! conditions where an arena-backed heap could drift: bursts of events
+//! The JSONL golden (`telemetry.rs`) pins one scenario's exact output;
+//! this one guards the ordering contract itself — `(time, seq)` — under
+//! the conditions where an arena-backed heap could drift: bursts of events
 //! scheduled on the *same tick* (tie-broken only by insertion sequence),
 //! faults rewiring the topology mid-run, and a finite-capacity model
 //! backlogging links so transmission completions collide too.
@@ -12,9 +12,11 @@ use scmp_core::router::ScmpConfig;
 use scmp_integration::{scenario, G};
 use scmp_net::NodeId;
 use scmp_protocols::build_scmp_engine;
-use scmp_sim::{AppEvent, CapacityModel, FaultKind, FaultPlan};
+use scmp_sim::{AppEvent, CapacityModel, FaultKind, FaultPlan, RingSink};
+use scmp_telemetry::encode_events;
 
-/// Run the failstorm once and render the complete trace.
+/// Run the failstorm once and render its complete event stream as JSONL
+/// lines: dispatches, local deliveries, drops and tree health included.
 fn run_failstorm() -> Vec<String> {
     let sc = scenario(42, 25, 0);
     let mut cfg = ScmpConfig::new(NodeId(0));
@@ -22,7 +24,7 @@ fn run_failstorm() -> Vec<String> {
     cfg.join_retry = 5_000;
     cfg.leave_retry = 5_000;
     let mut e = build_scmp_engine(sc.topo.clone(), cfg);
-    e.enable_trace();
+    e.set_sink(Box::new(RingSink::new(1 << 20)));
     e.set_capacity(CapacityModel::uniform(50, 6));
 
     // Same-tick join burst: every ordering decision inside one tick
@@ -67,9 +69,9 @@ fn run_failstorm() -> Vec<String> {
     }
     e.run_until(150_000);
 
-    e.trace()
-        .iter()
-        .map(|r| format!("{} n{} {:?}", r.time, r.node.0, r.kind))
+    encode_events(&e.events())
+        .lines()
+        .map(str::to_owned)
         .collect()
 }
 

@@ -1,9 +1,9 @@
 //! Telemetry integration: golden JSONL snapshot, sink-parity, and the
 //! inspector replaying engine statistics from a trace file alone.
 //!
-//! The golden file pins the *structured* event stream of the same
-//! fault-storm scenario `golden_trace.rs` pins in legacy form — with
-//! gauge sampling on, so the schema of every event kind is exercised.
+//! The golden file pins the structured event stream of a fault-storm
+//! scenario on Fig. 5 — with gauge sampling on, so the schema of every
+//! event kind is exercised.
 //! Refresh after an intentional change with:
 //!
 //! ```text
@@ -26,8 +26,10 @@ enum Sink {
     Ring,
 }
 
-/// The pinned fault-storm scenario (same timeline as `golden_trace.rs`)
-/// with the chosen sink installed and the gauge sampler on.
+/// The pinned fault-storm scenario: Fig. 5, repair scan on, a link cut
+/// that severs the tree, a router crash/recover cycle, and data packets
+/// landing before, during and after the failures. The chosen sink is
+/// installed and the gauge sampler is on.
 fn run_pinned_scenario(sink: Sink) -> Engine<ScmpRouter> {
     let mut cfg = ScmpConfig::new(NodeId(0));
     cfg.repair_interval = 2_000;
@@ -80,6 +82,16 @@ fn pinned_scenario_matches_golden_jsonl() {
         got.lines().count(),
         GOLDEN.lines().count(),
         "trace length changed"
+    );
+}
+
+#[test]
+fn pinned_scenario_is_deterministic() {
+    let run = || encode_events(&run_pinned_scenario(Sink::Ring).events());
+    assert_eq!(
+        run(),
+        run(),
+        "two runs of the same seeded scenario must produce identical traces"
     );
 }
 
